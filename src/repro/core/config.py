@@ -23,8 +23,7 @@ import numpy as np
 from repro.precond.asm import ASMVariant
 from repro.solvers.gmres import Orthogonalization
 from repro.solvers.ptc import PTCConfig
-from repro.sparse.precision import (PrecisionPolicy, StoragePrecision,
-                                    storage_dtype)
+from repro.sparse.precision import StoragePrecision, storage_dtype
 
 __all__ = ["KrylovConfig", "PreconditionerConfig", "SolverConfig"]
 
@@ -85,14 +84,6 @@ class SolverConfig:
                                      # for trisolve/SpMV/residual/
                                      # assembly (repro.kernels; degrades
                                      # to numpy without a backend)
-    dedup: bool = False              # compact ILU factors into unique-
-                                     # block pools (bandwidth round 2;
-                                     # BSR Jacobians only)
-    policy: PrecisionPolicy | str = "fp64"  # per-phase precision tier
-                                     # ('fp64' | 'fp32' | 'fp16-pool' or
-                                     # a PrecisionPolicy); non-default
-                                     # tiers override the precond
-                                     # storage precision knob
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -109,7 +100,3 @@ class SolverConfig:
             raise ValueError("threads must be >= 1")
         if self.engine not in ("numpy", "compiled"):
             raise ValueError("engine must be 'numpy' or 'compiled'")
-        self.policy = PrecisionPolicy.named(self.policy)
-        if self.policy.pool_dtype is not None and not self.dedup:
-            # The fp16 pool tier only exists on deduplicated factors.
-            self.dedup = True

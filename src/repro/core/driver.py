@@ -207,22 +207,12 @@ class NKSSolver:
 
     def _make_pc(self) -> AdditiveSchwarz:
         cfg = self.config.precond
-        policy = self.config.policy
-        # The precision policy, when non-default, overrides the legacy
-        # single-knob storage precision (paper Table 2's fp32 trick is
-        # the policy's precond_dtype now); the dedup knob additionally
-        # compacts each factor into unique-block pools, with the pool
-        # storage tier (fp16-pool) set by the policy.
-        storage = cfg.dtype if policy.is_default else policy.precond_dtype
         return AdditiveSchwarz(
             self._labels,
             ASMConfig(overlap=cfg.overlap, fill_level=cfg.fill_level,
-                      variant=cfg.variant, storage_dtype=storage,
+                      variant=cfg.variant, storage_dtype=cfg.dtype,
                       engine=self.config.engine,
-                      threads=self.config.threads,
-                      dedup=self.config.dedup,
-                      pool_dtype=(policy.pool_dtype if self.config.dedup
-                                  else None)),
+                      threads=self.config.threads),
             graph=self.disc.mesh.vertex_graph(),
             recorder=self.recorder,
         )
@@ -348,15 +338,8 @@ class NKSSolver:
                                    recorder=rec, threads=cfg.threads)
             else:
                 op = OperatorFromMatrix(self._jac)
-            # The Krylov basis works at the policy's storage precision:
-            # the workspace follows the rhs dtype, so casting the rhs is
-            # the whole wiring.  The Newton update re-widens to fp64 on
-            # application (q is float64), keeping the outer loop double.
-            rhs = -f
-            if cfg.policy.krylov_dtype != np.float64:
-                rhs = rhs.astype(cfg.policy.krylov_dtype)
             with rec.span("krylov"):
-                res = gmres(op, rhs, M=self._pc,
+                res = gmres(op, -f, M=self._pc,
                             rtol=cfg.krylov.rtol,
                             restart=cfg.krylov.restart,
                             maxiter=cfg.krylov.max_iterations,

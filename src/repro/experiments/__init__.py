@@ -16,7 +16,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.table1 import run_table1, Table1Row
 from repro.experiments.table2 import run_table2
-from repro.experiments.table2_dedup import run_table2_dedup
 from repro.experiments.table3 import (run_table3, run_table3_measured,
                                       ScalabilityResult,
                                       MeasuredScalabilityResult)
@@ -35,7 +34,6 @@ __all__ = [
     "measured_linear_iterations",
     "run_table1", "Table1Row",
     "run_table2",
-    "run_table2_dedup",
     "run_table3", "run_table3_measured",
     "ScalabilityResult", "MeasuredScalabilityResult",
     "run_table4",

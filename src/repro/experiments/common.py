@@ -73,8 +73,7 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
                          krylov_restart: int = 20,
                          matrix_free: bool = True,
                          target_reduction: float = 1e-10, seed: int = 0,
-                         engine: str = "numpy", dedup: bool = False,
-                         policy="fp64"):
+                         engine: str = "numpy"):
     """One NKS run with a p-way preconditioner partition.
 
     ``max_steps`` is deliberately small and ``target_reduction``
@@ -98,8 +97,6 @@ def solve_with_partition(prob: FlowProblem, nparts: int, *,
             labels=labels),
         seed=seed,
         engine=engine,
-        dedup=dedup,
-        policy=policy,
     )
     solver = NKSSolver(prob.disc, cfg)
     report = solver.solve(prob.initial.flat())

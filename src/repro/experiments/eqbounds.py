@@ -37,9 +37,9 @@ def storage_roundoff_bound(abs_ax: np.ndarray, row_nnz: np.ndarray | int,
 
     ``abs_ax`` is the exact-arithmetic ``|A| @ |x|`` per scalar row and
     ``row_nnz`` the scalar nonzeros per row (array or scalar).  This is
-    the acceptance bound of every reduced-precision tier: fp32 and
-    fp16 pool storage must land under it, which pins the error to the
-    storage rounding rather than any kernel defect.
+    the acceptance bound of fp32 storage: it must land under it, which
+    pins the error to the storage rounding rather than any kernel
+    defect.
     """
     eps_s = float(np.finfo(storage_dtype).eps)
     eps_c = float(np.finfo(compute_dtype).eps)

@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     const=".reprolint_cache", default=None,
                     help="content-hash analysis cache directory (bare "
                          "--cache uses .reprolint_cache); off by default")
-    ap.add_argument("--jobs", metavar="N", type=int, default=None,
-                    help="per-file analysis parallelism (default: auto)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule registry and exit")
     return ap
@@ -110,7 +108,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
     result = run_lint_ex(args.paths, tests_dir=args.tests, select=select,
-                         cache_dir=args.cache, jobs=args.jobs)
+                         cache_dir=args.cache)
     findings = result.findings
 
     if args.write_baseline:

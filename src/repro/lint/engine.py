@@ -11,7 +11,7 @@ check.
 
 The run is two tiers:
 
-1. **Per-file tier** (parallelizable, cacheable): parse, extract
+1. **Per-file tier** (cacheable): parse, extract
    :class:`~repro.lint.facts.ModuleFacts`, emit R000 + every
    module-scope rule's findings.  The (facts, findings) pair is cached
    by content hash when a cache directory is given.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -154,15 +153,16 @@ def _analyse_one(path: Path, rel: str, source: str | None,
 def run_lint_ex(paths: Sequence[str | Path],
                 tests_dir: str | Path | None = "tests",
                 select: Iterable[str] | None = None,
-                cache_dir: str | Path | None = None,
-                jobs: int | None = None) -> LintResult:
+                cache_dir: str | Path | None = None) -> LintResult:
     """Lint ``paths`` and return findings + run metadata.
 
     ``tests_dir`` feeds R001's "exercised by tests" cross-reference;
     pass None (or a missing directory) to relax that requirement.
     ``select`` restricts to the given rule ids (R000 always runs).
-    ``cache_dir`` enables the content-hash analysis cache there;
-    ``jobs`` sets the per-file parallelism (None picks a default).
+    ``cache_dir`` enables the content-hash analysis cache there.
+    Files are parsed serially on the calling thread: CPython keeps the
+    AST-conversion recursion depth in per-interpreter state, so
+    concurrent ``ast.parse`` calls are not safe.
     """
     wanted = set(select) if select is not None else None
     select_tag = "all" if wanted is None else ",".join(sorted(wanted))
@@ -190,21 +190,9 @@ def run_lint_ex(paths: Sequence[str | Path],
         else:
             fresh.append(i)
 
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
-    if jobs > 1 and len(fresh) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_analyse_one, files[i][0],
-                                      files[i][1], sources[i], wanted)
-                       for i in fresh}
-            for i, fut in futures.items():
-                outcomes[i] = fut.result()
-    else:
-        for i in fresh:
-            outcomes[i] = _analyse_one(files[i][0], files[i][1],
-                                       sources[i], wanted)
-
     for i in fresh:
+        outcomes[i] = _analyse_one(files[i][0], files[i][1], sources[i],
+                                   wanted)
         if sources[i] is not None:
             cache.put(files[i][1], sources[i], outcomes[i].facts,
                       outcomes[i].findings)
@@ -239,8 +227,7 @@ def run_lint_ex(paths: Sequence[str | Path],
 def run_lint(paths: Sequence[str | Path],
              tests_dir: str | Path | None = "tests",
              select: Iterable[str] | None = None,
-             cache_dir: str | Path | None = None,
-             jobs: int | None = None) -> list[Finding]:
+             cache_dir: str | Path | None = None) -> list[Finding]:
     """Back-compat wrapper over :func:`run_lint_ex` (findings only)."""
     return run_lint_ex(paths, tests_dir=tests_dir, select=select,
-                       cache_dir=cache_dir, jobs=jobs).findings
+                       cache_dir=cache_dir).findings

@@ -11,13 +11,12 @@ rule flags
 * arithmetic with an inline ``np.float64(...)``/``np.double(...)``
   scalar, which promotes any float32 operand, and
 * **fp16 compute** — ``np.float16(...)`` / ``.astype(np.float16)``
-  appearing as an arithmetic operand.  Half precision is a *storage*
-  format in this codebase (the deduplicated block pools): its 11-bit
-  significand is far too short for flux or factor arithmetic, so
-  every fp16 array must widen (``.astype(np.float32)``) before any
-  operation touches it.  Storing to fp16 (assignment, return, a
-  constructor argument) is allowed — only arithmetic on the narrow
-  form is flagged.
+  appearing as an arithmetic operand.  Half precision may only ever
+  be a *storage* format: its 11-bit significand is far too short for
+  flux or factor arithmetic, so every fp16 array must widen
+  (``.astype(np.float32)``) before any operation touches it.
+  Storing to fp16 (assignment, return, a constructor argument) is
+  allowed — only arithmetic on the narrow form is flagged.
 
 Fix by propagating the input dtype (``dtype=x.dtype``) or stating the
 intended precision (``dtype=np.float64``) — either way the choice is

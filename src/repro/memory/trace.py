@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dedup import DedupBSR
 
 __all__ = ["TraceLayout", "spmv_csr_trace", "spmv_bsr_trace",
-           "spmv_dedup_bsr_trace", "flux_loop_trace"]
+           "flux_loop_trace"]
 
 _PAGE = 1 << 20  # array bases are 1 MiB aligned so arrays never overlap
 
@@ -114,56 +113,6 @@ def spmv_bsr_trace(a: BSRMatrix, layout: TraceLayout | None = None) -> np.ndarra
     addr = np.concatenate([
         (b_indices + lay.index_bytes * t)[:, None],
         b_data + lay.value_bytes * (bs * bs * t[:, None] + np.arange(bs * bs)),
-        b_x + lay.value_bytes * (bs * a.indices[:, None] + np.arange(bs)),
-    ], axis=1).ravel()
-    rows = np.arange(n, dtype=np.int64)
-    ptr_pos = stride * a.indptr[:-1]
-    ptr_addr = b_indptr + lay.index_bytes * rows
-    y_pos = (stride * a.indptr[1:] - bs - 1)[:, None] + np.arange(bs)
-    y_addr = (b_y + lay.value_bytes * (bs * rows[:, None] + np.arange(bs)))
-    return _merge_by_position([(pos, addr), (ptr_pos, ptr_addr),
-                               (y_pos.ravel(), y_addr.ravel())])
-
-
-def spmv_dedup_bsr_trace(a: DedupBSR,
-                         layout: TraceLayout | None = None) -> np.ndarray:
-    """Reference stream of ``y = A x`` for deduplicated block CSR.
-
-    Per block entry the stream reads the column index, the int32 pool
-    index, and then walks the *pool* block that index selects — so a
-    repeated block revisits the same pool addresses instead of
-    streaming fresh ones, which is exactly the reuse the compaction
-    buys.  Pool values are addressed at the pool's own storage width
-    (fp16/fp32 pools shrink the value footprint; vectors stay at
-    ``layout.value_bytes``), making the trace the input the cache
-    simulator needs to *predict* the deduplicated traffic rather than
-    assume it.
-    """
-    lay = layout or TraceLayout()
-    bs = a.bs
-    nb = a.nnzb
-    n = a.nbrows
-    pool_bytes = a.pool.dtype.itemsize
-    b_indptr, b_indices, b_pidx, b_pool, b_x, b_y = _bases(
-        [(n + 1) * lay.index_bytes, nb * lay.index_bytes,
-         nb * 4, a.nuniq * bs * bs * pool_bytes,
-         a.nbcols * bs * lay.value_bytes, n * bs * lay.value_bytes])
-    t = np.arange(nb, dtype=np.int64)
-    width = 2 + bs * bs + bs          # accesses per block entry
-    stride = 4 * width                # position budget per block entry
-    base_pos = stride * t[:, None]
-    # column index, pool index, the pool block, then the x block.
-    pos = np.concatenate([
-        base_pos + 1,
-        base_pos + 2,
-        base_pos + 3 + np.arange(bs * bs),
-        base_pos + 3 + bs * bs + np.arange(bs),
-    ], axis=1).ravel()
-    u = a.pidx.astype(np.int64)
-    addr = np.concatenate([
-        (b_indices + lay.index_bytes * t)[:, None],
-        (b_pidx + 4 * t)[:, None],
-        b_pool + pool_bytes * (bs * bs * u[:, None] + np.arange(bs * bs)),
         b_x + lay.value_bytes * (bs * a.indices[:, None] + np.arange(bs)),
     ], axis=1).ravel()
     rows = np.arange(n, dtype=np.int64)

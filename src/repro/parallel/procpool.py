@@ -69,13 +69,11 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.parallel.spmd import (GhostExchange, SPMDLayout, rank_matvec,
-                                 rank_matvec_dedup, rank_matvec_structs,
-                                 rank_residual)
+                                 rank_matvec_structs, rank_residual)
 from repro.parallel.threads import resolve_threads
 from repro.sanitize.header import check_header_echo, mask_of, track_slots
 from repro.sanitize.writes import WriteSanitizer
 from repro.sanitize.writes import enabled as _sanitize_enabled
-from repro.sparse.dedup import DedupBSR
 from repro.telemetry.recorder import NULL_RECORDER, NullRecorder, \
     TraceRecorder
 
@@ -98,8 +96,6 @@ _H_MAT_BS = 7      # block size of the matrix being loaded
 _H_MAT_DTYPE = 8   # data dtype code of the matrix being loaded
 _H_MAT_ENGINE = 9  # kernel tier of the matrix (0 numpy, 1 compiled)
 _H_THREADS = 10    # intra-rank thread-team size of the current command
-_H_MAT_NUNIQ = 11  # unique-block count of a deduplicated matrix
-_H_MAT_DEDUP = 12  # 1 -> the matrix being loaded is a DedupBSR
 _H_SAN_ECHO = 15   # sanitize only: workers echo their read-slot mask
 _HDR_SLOTS = 16
 
@@ -115,25 +111,17 @@ _OP_LOAD_MATRIX = 4
 _OP_COLLECT = 5
 
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-# Matrix value storage admits the fp16 pool tier on top of the vector
-# dtypes (vectors themselves never drop below fp32 — fp16 is
-# storage-only, and only for deduplicated block pools).
-_MAT_DTYPES = _DTYPES + (np.dtype(np.float16),)
 _NAME_BYTES = 128   # shm segment name region (ASCII, zero-padded)
 
 
-def _code_of(dtype, table) -> int:
+def _dtype_code(dtype) -> int:
     dtype = np.dtype(dtype)
-    # lint: loop-ok (three-entry dtype table lookup)
-    for code, cand in enumerate(table):
+    # lint: loop-ok (two-entry dtype table lookup)
+    for code, cand in enumerate(_DTYPES):
         if cand == dtype:
             return code
     raise TypeError(f"unsupported dtype {dtype} "
-                    f"(supported: {[str(d) for d in table]})")
-
-
-def _dtype_code(dtype) -> int:
-    return _code_of(dtype, _DTYPES)
+                    f"(supported: {[str(d) for d in _DTYPES]})")
 
 
 def _align(nbytes: int) -> int:
@@ -520,34 +508,24 @@ class ProcPool:
         return self._partials[: self.layout.nranks].copy()
 
     def set_matrix(self, a) -> None:
-        """Broadcast a BSR or :class:`DedupBSR` matrix; workers cache
-        their rank structures.
+        """Broadcast a BSR matrix; workers cache their rank structures.
 
         No-op when ``a`` is the already-loaded object, so per-iteration
         matvecs pay nothing and a refreshed Jacobian is rebroadcast.
-        Deduplicated matrices ship as ``[indptr | indices | pidx |
-        pool]`` — the int32 index stream plus the unique-block pool —
-        so the broadcast itself moves only the compacted bytes.
         """
         if a is self._mat:
             return
         if int(a.nbrows) != self.n:
             raise ValueError(f"matrix has {a.nbrows} block rows, layout "
                              f"has {self.n} vertices")
-        dedup = isinstance(a, DedupBSR)
         indptr = np.ascontiguousarray(a.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(a.indices, dtype=np.int64)
-        if dedup:
-            pidx = np.ascontiguousarray(a.pidx, dtype=np.int32)
-            values = np.ascontiguousarray(a.pool)
-        else:
-            values = np.ascontiguousarray(a.data)
-        code = _code_of(values.dtype, _MAT_DTYPES)
+        data = np.ascontiguousarray(a.data)
+        code = _dtype_code(data.dtype)
         nnzb = int(indices.size)
         bs = int(a.bs)
         size = _align((self.n + 1) * 8) + _align(nnzb * 8) \
-            + (_align(nnzb * 4) if dedup else 0) \
-            + _align(max(values.nbytes, 1))
+            + _align(max(data.nbytes, 1))
         seg = shared_memory.SharedMemory(create=True, size=size)
         self._cleanup_state["segs"].append(seg)
         try:
@@ -558,19 +536,13 @@ class ProcPool:
             np.ndarray(nnzb, dtype=np.int64, buffer=seg.buf,
                        offset=off)[:] = indices
             off += _align(nnzb * 8)
-            if dedup:
-                np.ndarray(nnzb, dtype=np.int32, buffer=seg.buf,
-                           offset=off)[:] = pidx
-                off += _align(nnzb * 4)
-            np.ndarray(values.shape, dtype=values.dtype, buffer=seg.buf,
-                       offset=off)[:] = values
+            np.ndarray((nnzb, bs, bs), dtype=data.dtype, buffer=seg.buf,
+                       offset=off)[:] = data
             hdr = self._hdr
             hdr[_H_MAT_TOKEN] = self._mat_token + 1
             hdr[_H_MAT_NNZB] = nnzb
             hdr[_H_MAT_BS] = bs
             hdr[_H_MAT_DTYPE] = code
-            hdr[_H_MAT_NUNIQ] = values.shape[0] if dedup else 0
-            hdr[_H_MAT_DEDUP] = int(dedup)
             # The matrix's kernel tier rides the broadcast so every
             # worker's matvec runs the same engine as the seq executor.
             hdr[_H_MAT_ENGINE] = int(getattr(a, "engine", "numpy")
@@ -798,13 +770,6 @@ class ProcPool:
         if mats["token"] != int(self._hdr[_H_MAT_TOKEN]):
             raise ProcPoolError("matvec before matrix load")
         data_rows, cols, seg = mats["cache"][rd.rank]
-        if mats.get("dedup"):
-            # Deduplicated leg: identical chunking and accumulation
-            # order as the dense leg, values streamed through the pool.
-            return rank_matvec_dedup(mats["pool"], data_rows, cols, seg,
-                                     loc, rd.n_owned,
-                                     engine=mats["engine"],
-                                     threads=threads)
         # Persistent per-(rank, dtype) gather/product buffers: fresh
         # multi-MB temporaries cost a page-fault sweep per call.
         key = (rd.rank, loc.dtype.str)
@@ -835,8 +800,7 @@ class ProcPool:
         hdr = self._hdr
         nnzb = int(hdr[_H_MAT_NNZB])
         bs = int(hdr[_H_MAT_BS])
-        dedup = bool(hdr[_H_MAT_DEDUP])
-        dtype = _MAT_DTYPES[int(hdr[_H_MAT_DTYPE])]
+        dtype = _DTYPES[int(hdr[_H_MAT_DTYPE])]
         seg = shared_memory.SharedMemory(name=self._get_name())
         try:
             off = 0
@@ -846,18 +810,8 @@ class ProcPool:
             indices = np.ndarray(nnzb, dtype=np.int64, buffer=seg.buf,
                                  offset=off)
             off += _align(nnzb * 8)
-            if dedup:
-                pidx = np.ndarray(nnzb, dtype=np.int32, buffer=seg.buf,
-                                  offset=off)
-                off += _align(nnzb * 4)
-                nuniq = int(hdr[_H_MAT_NUNIQ])
-                pool = np.ndarray((nuniq, bs, bs), dtype=dtype,
-                                  buffer=seg.buf, offset=off)
-                data = None
-            else:
-                pidx = pool = None
-                data = np.ndarray((nnzb, bs, bs), dtype=dtype,
-                                  buffer=seg.buf, offset=off)
+            data = np.ndarray((nnzb, bs, bs), dtype=dtype, buffer=seg.buf,
+                              offset=off)
             mat = _MatView(indptr=indptr, indices=indices, data=data,
                            nbrows=self.n)
             cache = {}
@@ -865,23 +819,15 @@ class ProcPool:
             for r in ranks:
                 rd = self.layout.ranks[r]
                 flat, cols, seg_ids = rank_matvec_structs(mat, rd)
-                # Contiguous private copy: the per-call gather of the
-                # sequential leg (a.data[flat], or the int32 index rows
-                # a.pidx[flat] of a deduplicated matrix), done once.
-                rows = (np.ascontiguousarray(pidx[flat]) if dedup
-                        else np.ascontiguousarray(data[flat]))
-                cache[r] = (rows, cols, seg_ids)
-            # The unique-block pool crosses into private memory once
-            # per worker — it is the compacted stream, so the copy is
-            # small by construction.
-            state["pool"] = pool.copy() if dedup else None
-            state["dedup"] = dedup
+                # Contiguous private copy: the per-call gather
+                # a.data[flat] of the sequential leg, done once.
+                cache[r] = (np.ascontiguousarray(data[flat]), cols, seg_ids)
             state["cache"] = cache
             state["ws"] = {}      # shapes change with the pattern
             state["engine"] = ("compiled" if int(hdr[_H_MAT_ENGINE])
                                else "numpy")
             state["token"] = int(hdr[_H_MAT_TOKEN])
-            del indptr, indices, data, pidx, pool, mat
+            del indptr, indices, data, mat
         finally:
             seg.close()
 

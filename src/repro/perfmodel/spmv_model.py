@@ -29,8 +29,8 @@ from repro.memory.tlb import TLBConfig
 from repro.perfmodel.machines import MachineSpec
 
 __all__ = ["conflict_miss_bound", "tlb_miss_bound", "spmv_traffic_bytes",
-           "spmv_dedup_traffic_bytes", "spmv_bandwidth_mflops",
-           "spmv_transfer_estimate", "SpMVTraffic"]
+           "spmv_bandwidth_mflops", "spmv_transfer_estimate",
+           "SpMVTraffic"]
 
 
 def conflict_miss_bound(n_rows: int, bandwidth_words: float,
@@ -92,35 +92,6 @@ def spmv_traffic_bytes(n_rows: int, nnz: int, *, block_size: int = 1,
     nbrows = n_rows // block_size if block_size > 1 else n_rows
     matrix = nnz * value_bytes
     index = nblocks * index_bytes + (nbrows + 1) * index_bytes
-    if x_cached:
-        vector = n_rows * value_bytes * 3       # x once, y read+write
-    else:
-        vector = (nblocks * block_size + 2 * n_rows) * value_bytes
-    return SpMVTraffic(matrix_bytes=matrix, index_bytes=index,
-                       vector_bytes=vector)
-
-
-def spmv_dedup_traffic_bytes(n_rows: int, nnz: int, nuniq_blocks: int, *,
-                             block_size: int, value_bytes: int = 8,
-                             pool_value_bytes: int | None = None,
-                             index_bytes: int = 4,
-                             x_cached: bool = True) -> SpMVTraffic:
-    """Compulsory traffic of one SpMV on a deduplicated BSR matrix.
-
-    The matrix value stream shrinks to the ``nuniq_blocks`` unique
-    blocks (each read once in the perfect-reuse limit, at the pool's
-    storage width) while the index stream *grows* by one int32 pool
-    index per block entry — the trade the dedup makes, and why it only
-    pays when the ratio beats ``4 / (bs^2 * pool_value_bytes)``.
-    Vectors stay at ``value_bytes`` (fp16 is storage-only; x and y are
-    never narrowed below the working precision).
-    """
-    bsq = block_size * block_size
-    nblocks = nnz // bsq
-    nbrows = n_rows // block_size
-    pvb = value_bytes if pool_value_bytes is None else pool_value_bytes
-    matrix = nuniq_blocks * bsq * pvb
-    index = nblocks * (index_bytes + 4) + (nbrows + 1) * index_bytes
     if x_cached:
         vector = n_rows * value_bytes * 3       # x once, y read+write
     else:

@@ -44,8 +44,6 @@ class ASMConfig:
     storage_dtype: type = np.float64
     engine: str = "numpy"   # kernel tier for the subdomain trisolves
     threads: int = 1        # intra-rank team size for the trisolves
-    dedup: bool = False     # compact factors into unique-block pools (BSR)
-    pool_dtype: type | None = None  # pool storage tier (fp16-pool policy)
 
     def __post_init__(self) -> None:
         if self.overlap < 0:
@@ -54,8 +52,6 @@ class ASMConfig:
             raise ValueError("fill_level must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.pool_dtype is not None and not self.dedup:
-            raise ValueError("pool_dtype requires dedup=True")
         self.variant = ASMVariant(self.variant)
 
 
@@ -134,9 +130,7 @@ class AdditiveSchwarz:
                     a, rows, owned, self.config.fill_level,
                     storage_dtype=self.config.storage_dtype,
                     engine=self.config.engine,
-                    threads=self.config.threads,
-                    dedup=self.config.dedup,
-                    pool_dtype=self.config.pool_dtype))
+                    threads=self.config.threads))
         return self
 
     # -- application ----------------------------------------------------

@@ -19,22 +19,18 @@ class BlockJacobi(AdditiveSchwarz):
     """ILU(k) block Jacobi over a row partition."""
 
     def __init__(self, labels: np.ndarray, fill_level: int = 0,
-                 storage_dtype=np.float64, graph: Graph | None = None,
-                 dedup: bool = False, pool_dtype=None) -> None:
+                 storage_dtype=np.float64, graph: Graph | None = None) -> None:
         super().__init__(
             labels,
             ASMConfig(overlap=0, fill_level=fill_level,
                       variant=ASMVariant.RESTRICTED,
-                      storage_dtype=storage_dtype,
-                      dedup=dedup, pool_dtype=pool_dtype),
+                      storage_dtype=storage_dtype),
             graph=graph,
         )
 
     @classmethod
     def single_domain(cls, n: int, fill_level: int = 0,
-                      storage_dtype=np.float64, dedup: bool = False,
-                      pool_dtype=None) -> "BlockJacobi":
+                      storage_dtype=np.float64) -> "BlockJacobi":
         """One subdomain covering everything: plain (sequential) ILU(k)."""
         return cls(np.zeros(n, dtype=np.int64), fill_level=fill_level,
-                   storage_dtype=storage_dtype, dedup=dedup,
-                   pool_dtype=pool_dtype)
+                   storage_dtype=storage_dtype)

@@ -8,8 +8,8 @@ import numpy as np
 
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ilu import (DedupILUFactorBSR, ILUFactorBSR, ILUFactorCSR,
-                              ILUPattern, ilu_bsr, ilu_csr)
+from repro.sparse.ilu import (ILUFactorBSR, ILUFactorCSR, ILUPattern,
+                              ilu_bsr, ilu_csr)
 
 __all__ = ["SubdomainSolver"]
 
@@ -23,22 +23,12 @@ class SubdomainSolver:
     belong to the zero-overlap core (used by restricted ASM and by the
     communication accounting: the non-owned rows are exactly the matrix
     and vector data that must be communicated from neighbours).
-
-    With ``dedup=True`` (BSR only) the numeric factor is compacted into
-    :class:`~repro.sparse.ilu.DedupILUFactorBSR` after each (re)factor-
-    isation — the triangular solves then stream int32 pool indices
-    instead of dense blocks.  ``storage_dtype``/``dedup``/``pool_dtype``
-    are retained on the instance so :meth:`refactor` reproduces the
-    same storage form after every Newton refresh.
     """
 
     rows: np.ndarray
     owned: np.ndarray
-    factor: ILUFactorCSR | ILUFactorBSR | DedupILUFactorBSR
+    factor: ILUFactorCSR | ILUFactorBSR
     fill_level: int
-    storage_dtype: np.dtype = np.dtype(np.float64)
-    dedup: bool = False
-    pool_dtype: np.dtype | None = None
 
     @classmethod
     def build(cls, a: CSRMatrix | BSRMatrix, rows: np.ndarray,
@@ -46,9 +36,7 @@ class SubdomainSolver:
               storage_dtype=np.float64,
               pattern: ILUPattern | None = None,
               engine: str = "numpy",
-              threads: int = 1,
-              dedup: bool = False,
-              pool_dtype=None) -> "SubdomainSolver":
+              threads: int = 1) -> "SubdomainSolver":
         """Extract the overlapped submatrix of ``a`` and factor it.
 
         ``pattern`` is the symbolic ILU(k) pattern from a previous
@@ -56,10 +44,6 @@ class SubdomainSolver:
         structure is fixed across Newton refreshes); passing it skips
         the symbolic phase and reuses the compiled elimination
         schedule cached on it.
-
-        ``dedup`` compacts the factor's block values into unique-block
-        pools (BSR only); ``pool_dtype`` then rounds the pools — the
-        fp16-pool precision tier — after compaction.
         """
         rows = np.asarray(rows, dtype=np.int64)
         sub = a.submatrix(rows)
@@ -67,33 +51,22 @@ class SubdomainSolver:
             factor = ilu_bsr(sub, fill_level, pattern=pattern,
                              storage_dtype=storage_dtype, engine=engine,
                              threads=threads)
-            if dedup:
-                factor = factor.dedup_storage(pool_dtype)
         else:
-            if dedup:
-                raise ValueError(
-                    "block dedup requires BSR storage (scalar CSR entries "
-                    "have no repeated-block structure to compact)")
             factor = ilu_csr(sub, fill_level, pattern=pattern,
                              storage_dtype=storage_dtype, engine=engine,
                              threads=threads)
         return cls(rows=rows, owned=np.asarray(owned, dtype=bool),
-                   factor=factor, fill_level=fill_level,
-                   storage_dtype=np.dtype(storage_dtype), dedup=dedup,
-                   pool_dtype=(None if pool_dtype is None
-                               else np.dtype(pool_dtype)))
+                   factor=factor, fill_level=fill_level)
 
     def refactor(self, a: CSRMatrix | BSRMatrix) -> "SubdomainSolver":
         """Numeric-only refactorisation for a matrix with the same
         sparsity: reuses this subdomain's rows, ownership flags, and
-        symbolic pattern (hence its elimination schedule).  Dedup
-        storage is re-compacted on the fresh numeric values."""
+        symbolic pattern (hence its elimination schedule)."""
         return self.build(a, self.rows, self.owned, self.fill_level,
-                          storage_dtype=self.storage_dtype,
+                          storage_dtype=self.factor.l_data.dtype,
                           pattern=self.factor.pattern,
                           engine=self.factor.engine,
-                          threads=self.factor.threads,
-                          dedup=self.dedup, pool_dtype=self.pool_dtype)
+                          threads=self.factor.threads)
 
     @property
     def num_rows(self) -> int:

@@ -34,22 +34,18 @@ import numpy as np
 
 from repro.sparse.bsr import BSRMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dedup import POOL_DTYPES, dedup_blocks
 from repro.sparse.trisolve import (
     _ranges,
     level_schedule,
     lower_solve_blocks,
-    lower_solve_blocks_dedup,
     lower_solve_csr,
     upper_solve_blocks,
-    upper_solve_blocks_dedup,
     upper_solve_csr,
 )
 
 __all__ = ["ILUPattern", "ilu_symbolic", "ILUFactorCSR", "ILUFactorBSR",
-           "DedupILUFactorBSR", "ilu_csr", "ilu_bsr", "ilu_csr_ref",
-           "ilu_bsr_ref", "EliminationSchedule",
-           "compile_elimination_schedule"]
+           "ilu_csr", "ilu_bsr", "ilu_csr_ref", "ilu_bsr_ref",
+           "EliminationSchedule", "compile_elimination_schedule"]
 
 
 @dataclass
@@ -564,103 +560,6 @@ class ILUFactorBSR:
                             l_levels_sched=self.l_levels_sched,
                             u_levels_sched=self.u_levels_sched,
                             engine=self.engine, threads=self.threads)
-
-    def dedup_storage(self, pool_dtype=None) -> "DedupILUFactorBSR":
-        """The factor in deduplicated storage: L and U block values
-        compacted into unique-block pools streamed through int32
-        indices (the bandwidth round-2 form; see
-        :mod:`repro.sparse.dedup`).
-
-        Compaction runs on the *stored* bytes, so the pool index maps
-        are independent of the requested precision; ``pool_dtype`` then
-        rounds the pools (and the dense ``inv_diag`` — one block per
-        row, nothing to dedup) once, after compaction.
-        """
-        l_pool, l_pidx = dedup_blocks(self.l_data)
-        u_pool, u_pidx = dedup_blocks(self.u_data)
-        inv_diag = self.inv_diag
-        if pool_dtype is not None:
-            dtype = np.dtype(pool_dtype)
-            if dtype.type not in POOL_DTYPES:
-                raise ValueError(f"unsupported pool dtype {dtype}")
-            if dtype != l_pool.dtype:
-                l_pool = l_pool.astype(dtype)
-                u_pool = u_pool.astype(dtype)
-                inv_diag = inv_diag.astype(dtype)
-        return DedupILUFactorBSR(
-            pattern=self.pattern, bs=self.bs,
-            l_pool=l_pool, l_pidx=l_pidx,
-            u_pool=u_pool, u_pidx=u_pidx,
-            inv_diag=inv_diag,
-            l_levels_sched=self.l_levels_sched,
-            u_levels_sched=self.u_levels_sched,
-            engine=self.engine, threads=self.threads)
-
-
-@dataclass
-class DedupILUFactorBSR:
-    """Block ILU factor in deduplicated storage.
-
-    Same solve contract as :class:`ILUFactorBSR` — at float64 pool
-    storage the triangular solves are bitwise-identical to the dense
-    factor's (the pool gather reproduces the dense value stream
-    exactly); reduced-precision pools round storage only, with all
-    arithmetic widened, and the error is bounded by the
-    ``experiments.eqbounds`` machinery.  ILU factors dedup less than
-    the Jacobian itself (elimination mixes blocks, breaking bitwise
-    repeats), so :attr:`dedup_ratio` is reported per factor and the
-    honest number lands in the bench rows.
-    """
-
-    pattern: ILUPattern
-    bs: int
-    l_pool: np.ndarray          # (nuniq_l, bs, bs) unique L blocks
-    l_pidx: np.ndarray          # (nnzl,) int32 pool index per L entry
-    u_pool: np.ndarray          # (nuniq_u, bs, bs) unique U blocks
-    u_pidx: np.ndarray          # (nnzu,) int32 pool index per U entry
-    inv_diag: np.ndarray        # (n, bs, bs) dense diagonal inverses
-    l_levels_sched: list[np.ndarray]
-    u_levels_sched: list[np.ndarray]
-    engine: str = "numpy"
-    threads: int = 1
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        return self.l_pool.dtype
-
-    @property
-    def nnzb(self) -> int:
-        return int(self.l_pidx.size + self.u_pidx.size)
-
-    @property
-    def nuniq(self) -> int:
-        return int(self.l_pool.shape[0] + self.u_pool.shape[0])
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Stored factor blocks per unique block (>= 1)."""
-        return self.nnzb / max(self.nuniq, 1)
-
-    @property
-    def factor_bytes(self) -> int:
-        """Bytes the solves stream: pools + int32 index streams + the
-        dense diagonal inverses (the deduped Table 2 traffic knob)."""
-        return int(self.l_pool.nbytes + self.u_pool.nbytes
-                   + self.l_pidx.nbytes + self.u_pidx.nbytes
-                   + self.inv_diag.nbytes)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        p = self.pattern
-        y = lower_solve_blocks_dedup(p.l_indptr, p.l_indices, self.l_pool,
-                                     self.l_pidx, b, self.l_levels_sched,
-                                     self.bs, engine=self.engine,
-                                     threads=self.threads)
-        return upper_solve_blocks_dedup(p.u_indptr, p.u_indices,
-                                        self.u_pool, self.u_pidx,
-                                        self.inv_diag, y,
-                                        self.u_levels_sched, self.bs,
-                                        engine=self.engine,
-                                        threads=self.threads)
 
 
 def ilu_bsr(a: BSRMatrix, fill_level: int = 0,

@@ -20,8 +20,7 @@ from repro import kernels as _kernels
 from repro.sparse.segsum import concat_ranges, segment_sum
 
 __all__ = ["level_schedule", "level_schedule_ref", "lower_solve_csr",
-           "upper_solve_csr", "lower_solve_blocks", "upper_solve_blocks",
-           "lower_solve_blocks_dedup", "upper_solve_blocks_dedup"]
+           "upper_solve_csr", "lower_solve_blocks", "upper_solve_blocks"]
 
 
 def level_schedule_ref(indptr: np.ndarray, indices: np.ndarray,
@@ -260,93 +259,6 @@ def lower_solve_blocks(indptr, indices, data, b, levels, bs,
             def solve_chunk(c: int, _unused: int) -> None:
                 rr = chunks[c]
                 x[rr] -= _row_dot_blocks(indptr, indices, data, x, rr, bs)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
-    return x.ravel()
-
-
-def _row_dot_blocks_dedup(indptr, indices, pool, pidx, x, rows, bs):
-    """Deduplicated :func:`_row_dot_blocks`: blocks are gathered from the
-    unique-block pool through the int32 ``pidx`` stream.  At float64 pool
-    storage ``pool[pidx[flat]]`` is bitwise-equal to the dense gather, so
-    the whole solve is bitwise-identical to the dense batch; reduced-
-    precision pools widen exactly on load (fp16/fp32 -> fp64)."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros((rows.size, bs), dtype=x.dtype)
-    out_row = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    flat = _ranges(starts, counts)
-    prods = np.einsum("kij,kj->ki",
-                      pool[pidx[flat]].astype(x.dtype, copy=False),
-                      x[indices[flat]])
-    return segment_sum(out_row, prods, rows.size).astype(x.dtype, copy=False)
-
-
-def lower_solve_blocks_dedup(indptr, indices, pool, pidx, b, levels, bs,
-                             engine="numpy", threads: int = 1) -> np.ndarray:
-    """:func:`lower_solve_blocks` on a deduplicated factor: the block
-    values live in the ``(nuniq, bs, bs)`` pool and each stored entry
-    streams only its int32 pool index.  Same bitwise/ULP contract as the
-    dense solve (see :func:`_row_dot_blocks_dedup`); the compiled leg
-    degrades to the numpy batches when unavailable (and always for
-    float16 pools — fp16 is storage-only, arithmetic runs widened)."""
-    x = np.array(b, dtype=np.float64, copy=True)
-    if engine != "numpy" and _kernels.lower_solve_bsr_dedup(
-            indptr, indices, pool, pidx, x, levels, bs, engine):
-        return x
-    x = x.reshape(-1, bs)
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            x[rows] -= _row_dot_blocks_dedup(indptr, indices, pool, pidx,
-                                             x, rows, bs)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                x[rr] -= _row_dot_blocks_dedup(indptr, indices, pool,
-                                               pidx, x, rr, bs)
-
-            run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
-                       threads)
-    return x.ravel()
-
-
-def upper_solve_blocks_dedup(indptr, indices, pool, pidx, inv_diag, b,
-                             levels, bs, engine="numpy",
-                             threads: int = 1) -> np.ndarray:
-    """:func:`upper_solve_blocks` on a deduplicated factor; ``inv_diag``
-    stays dense (one block per row — no repetition to exploit) at the
-    factor's storage dtype and widens on load like the pool."""
-    x = np.array(b, dtype=np.float64, copy=True)
-    if engine != "numpy" and _kernels.upper_solve_bsr_dedup(
-            indptr, indices, pool, pidx, inv_diag, x, levels, bs, engine):
-        return x
-    x = x.reshape(-1, bs)
-    # lint: loop-ok (one vectorised batch per dependency level, O(levels))
-    for rows in levels:
-        team = _level_team(rows, threads)
-        if team is None:
-            rhs = x[rows] - _row_dot_blocks_dedup(indptr, indices, pool,
-                                                  pidx, x, rows, bs)
-            x[rows] = np.einsum(
-                "kij,kj->ki", inv_diag[rows].astype(np.float64, copy=False),
-                rhs)
-        else:
-            chunks, run_chunks = team
-
-            def solve_chunk(c: int, _unused: int) -> None:
-                rr = chunks[c]
-                rhs = x[rr] - _row_dot_blocks_dedup(indptr, indices, pool,
-                                                    pidx, x, rr, bs)
-                x[rr] = np.einsum(
-                    "kij,kj->ki",
-                    inv_diag[rr].astype(np.float64, copy=False), rhs)
 
             run_chunks(solve_chunk, [(c, c + 1) for c in range(len(chunks))],
                        threads)

@@ -49,3 +49,19 @@ def small_graph(small_mesh):
 @pytest.fixture(scope="session")
 def medium_graph(medium_mesh):
     return medium_mesh.vertex_graph()
+
+
+@pytest.fixture(scope="session")
+def wing_jacobian():
+    """Tiny perturbed wing: shifted block Jacobian plus probe vectors
+    ``x`` (for A x) and ``b`` (for factor solves)."""
+    from repro.euler import wing_problem
+
+    prob = wing_problem(7, 5, 4)
+    rng = np.random.default_rng(3)
+    q = prob.initial.flat() + 0.02 * rng.standard_normal(
+        prob.disc.num_unknowns)
+    jac = prob.disc.shifted_jacobian(q, cfl=10.0)
+    x = rng.standard_normal(jac.shape[1])
+    b = rng.standard_normal(jac.shape[0])
+    return jac, x, b

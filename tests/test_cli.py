@@ -18,7 +18,7 @@ class TestCLI:
 
     def test_registry_complete(self):
         """Every paper table/figure has a CLI entry."""
-        expected = {"table1", "table2", "table2-dedup", "table3",
+        expected = {"table1", "table2", "table3",
                     "table3-measured", "table4", "table5",
                     "table5-measured", "fig1", "fig2", "fig3", "fig4",
                     "fig5", "eqbounds", "scaling", "service"}

@@ -13,7 +13,7 @@ Equivalence comes in two strengths, and each test pins the right one:
   entries through cancellation, so the bound is relative to the result
   norm (machine-epsilon scale), not per-element.
 
-On a machine with neither numba nor cffi+cc the dispatchers return
+On a machine without cffi+cc the dispatchers return
 None/False and every "compiled" path below collapses onto the oracle;
 the equivalence assertions then hold trivially and the dedicated
 degradation tests pin that behaviour explicitly.
@@ -40,7 +40,7 @@ from repro.sparse.trisolve import _row_dot, _row_dot_blocks
 HAS_BACKEND = capability.available_backends() != ()
 
 needs_backend = pytest.mark.skipif(
-    not HAS_BACKEND, reason="no compiled backend (numba/cffi+cc) available")
+    not HAS_BACKEND, reason="no compiled backend (cffi+cc) available")
 
 
 def assert_norm_close(got, ref):
@@ -62,9 +62,8 @@ def wing():
 
 @pytest.fixture
 def bare_machine(monkeypatch):
-    """Fake a machine with no numba and no C toolchain."""
+    """Fake a machine with no C toolchain."""
     capability.invalidate()
-    monkeypatch.setattr(capability, "probe_numba", lambda: False)
     monkeypatch.setattr(capability, "probe_c", lambda: False)
     yield
     capability.invalidate()
@@ -106,10 +105,9 @@ class TestCapability:
 
 @pytest.fixture
 def broken_c_build(monkeypatch):
-    """Numba absent, C toolchain present but the build fails."""
+    """C toolchain present but the build fails."""
     from repro.kernels import cbackend
     capability.invalidate()
-    monkeypatch.setattr(capability, "probe_numba", lambda: False)
     monkeypatch.setattr(cbackend, "_SOURCE", "#error deliberately broken\n")
     monkeypatch.setattr(kernels, "_BACKENDS", {})
     yield
@@ -152,7 +150,6 @@ class TestQuarantine:
 
     def test_missing_compiler_recorded_as_benign(self, monkeypatch):
         capability.invalidate()
-        monkeypatch.setattr(capability, "probe_numba", lambda: False)
         monkeypatch.setattr(capability.shutil, "which", lambda cc: None)
         try:
             with warnings.catch_warnings():
@@ -386,7 +383,7 @@ class TestBackendPresent:
     run (returning arrays, not the None/False fallback signal)."""
 
     def test_backend_resolves(self):
-        assert capability.resolve_engine("compiled") in ("numba", "c")
+        assert capability.resolve_engine("compiled") == "c"
         assert kernels.backend_for("compiled") is not None
 
     def test_dispatch_returns_result(self):

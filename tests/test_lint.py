@@ -408,13 +408,28 @@ class TestCacheAndJobs:
         assert full.cache_stats["misses"] == 1
         assert {f.rule for f in full.findings} == {"R005"}
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parses_run_on_calling_thread(self, monkeypatch):
+        """Every per-file parse runs on the caller's thread.  CPython
+        keeps the AST-conversion recursion depth in per-interpreter
+        state, so concurrent ``ast.parse`` calls can fail with
+        "AST constructor recursion depth mismatch"."""
+        import ast
+        import threading
+
         from repro.lint import run_lint_ex
+        real_parse = ast.parse
+        parsed_on = []
+
+        def recording_parse(*args, **kwargs):
+            parsed_on.append(threading.get_ident())
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", recording_parse)
         paths = sorted(FIXTURES.glob("r0*_violating.py"))
-        serial = run_lint_ex(paths, tests_dir=None, jobs=1)
-        threaded = run_lint_ex(paths, tests_dir=None, jobs=4)
-        assert [f.fingerprint for f in serial.findings] \
-            == [f.fingerprint for f in threaded.findings]
+        assert len(paths) > 1
+        run_lint_ex(paths, tests_dir=None)
+        assert len(parsed_on) >= len(paths)
+        assert set(parsed_on) == {threading.get_ident()}
 
     def test_json_reports_cache_stats(self, tmp_path, capsys):
         rc = lint_main(["--format", "json", "--tests", "does-not-exist",

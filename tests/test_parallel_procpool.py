@@ -11,7 +11,6 @@ rebroadcast, worker-side telemetry shards, crash handling, and
 shared-memory cleanup.
 """
 
-import multiprocessing as mp
 import os
 import pathlib
 import signal
@@ -32,7 +31,6 @@ from repro.parallel import (GhostExchange, ProcPool, ProcPoolError,
                             SPMDLayout, distributed_dot, distributed_matvec,
                             distributed_residual, tree_reduce_sum)
 from repro.partition import kway_partition
-from repro.sparse.dedup import dedup_bsr
 from repro.telemetry import TraceRecorder
 
 _REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
@@ -73,10 +71,15 @@ class TestBitwiseEquivalence:
         assert np.array_equal(f_seq, f_proc)
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 1000), f32=st.booleans())
-    def test_matvec(self, setup, pool, seed, f32):
+    @given(seed=st.integers(0, 1000), f32=st.booleans(),
+           f32_data=st.booleans())
+    def test_matvec(self, setup, pool, seed, f32, f32_data):
+        """fp32 matrix values (Table 2 storage) ship through the shm
+        broadcast as fp32 and must widen identically on both sides."""
         prob, _, layout, q = setup
         a = prob.disc.assemble_jacobian(q)
+        if f32_data:
+            a = a.astype(np.float32)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(q.size)
         if f32:
@@ -85,29 +88,6 @@ class TestBitwiseEquivalence:
         y_proc = distributed_matvec(a, layout, x, executor="proc")
         assert y_proc.dtype == y_seq.dtype
         assert np.array_equal(y_seq, y_proc)
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 1000),
-           pool_dtype=st.sampled_from(["f64", "f32", "f16"]))
-    def test_matvec_dedup(self, setup, pool, seed, pool_dtype):
-        """Deduplicated matrices ship as [pool|pidx] segments; workers
-        must reproduce the seq rank loop bitwise at every pool storage
-        tier (fp16 included — widened identically on both sides)."""
-        prob, _, layout, q = setup
-        a = prob.disc.assemble_jacobian(q)
-        dt = {"f64": np.float64, "f32": np.float32,
-              "f16": np.float16}[pool_dtype]
-        d = dedup_bsr(a, pool_dtype=dt)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(q.size)
-        y_seq = distributed_matvec(d, layout, x, executor="seq")
-        y_proc = distributed_matvec(d, layout, x, executor="proc")
-        assert y_proc.dtype == y_seq.dtype
-        assert np.array_equal(y_seq, y_proc)
-        if dt is np.float64:
-            # fp64 pool: the dedup form is bitwise the dense matvec.
-            assert np.array_equal(
-                y_seq, distributed_matvec(a, layout, x, executor="seq"))
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 1000))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.threads import run_chunks
-from repro.sanitize import (GLOBAL, HashTrail, SanitizeError, SlotTracker,
+from repro.sanitize import (GLOBAL, HashTrail, SanitizeError,
                             WriteSanitizer, capture, check_header_echo,
                             chunk_owner, current_owner, enabled,
                             first_divergence, mask_of, note, state_hash,

@@ -167,3 +167,20 @@ class TestNumericBSR:
         b = rng.random(18)
         assert np.allclose(ilu_bsr(bsr1, 1).solve(b),
                            ilu_csr(m, 1).solve(b), atol=1e-12)
+
+
+class TestFp32Storage:
+    def test_ilu_storage_error_scales_with_eps(self, wing_jacobian):
+        """fp32 factor storage (Table 2) perturbs the solve by
+        O(eps_fp32) relative to the fp64 factor — not more."""
+        jac, _x, b = wing_jacobian
+        pat = ilu_symbolic(jac.indptr, jac.indices, 1)
+        f64 = ilu_bsr(jac, pattern=pat)
+        f32 = ilu_bsr(jac, pattern=pat, storage_dtype=np.float32)
+        assert f32.storage_dtype == np.float32
+        ref = f64.solve(b)
+        err = np.abs(f32.solve(b) - ref)
+        scale = float(np.abs(ref).max())
+        # Triangular solves amplify storage rounding by a modest
+        # condition-dependent factor; 100x eps absorbs it.
+        assert float(err.max()) <= 100 * np.finfo(np.float32).eps * scale

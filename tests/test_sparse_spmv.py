@@ -6,6 +6,8 @@ import pytest
 from repro.sparse import (CSRMatrix, spmv_bsr_numpy, spmv_cost,
                           spmv_csr, spmv_csr_loop, spmv_csr_numpy,
                           spmv_csr_ref)
+from repro.experiments.eqbounds import storage_roundoff_bound
+from repro.sparse.bsr import BSRMatrix
 from repro.sparse.precision import StoragePrecision, storage_dtype, traffic_ratio
 
 
@@ -86,3 +88,16 @@ class TestPrecision:
     def test_traffic_ratio(self):
         assert traffic_ratio("single") == 0.5
         assert traffic_ratio("double") == 1.0
+
+    def test_spmv_under_storage_roundoff_bound(self, wing_jacobian):
+        """A BSR matrix with fp32 ``data`` computes in fp64, so its
+        error against the fp64 product is the storage rounding alone."""
+        jac, x, _b = wing_jacobian
+        j32 = jac.astype(np.float32)
+        assert j32.data.dtype == np.float32
+        err = np.abs(j32 @ x - jac @ x)
+        abs_ax = BSRMatrix(jac.indptr, jac.indices, np.abs(jac.data),
+                           jac.nbcols) @ np.abs(x)
+        row_nnz = np.repeat(np.diff(jac.indptr) * jac.bs, jac.bs)
+        bound = storage_roundoff_bound(abs_ax, row_nnz, np.float32)
+        assert np.all(err <= bound)
