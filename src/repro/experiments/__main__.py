@@ -42,8 +42,9 @@ def _table3(a):
 
 
 def _table3_measured(a):
-    # Quickstart-sized: the replay executes the real SPMD kernels;
-    # --executor proc runs them concurrently in worker processes.
+    # Quickstart-sized: one real first-order solve per processor count
+    # on the SPMD kernels; --executor proc runs its rank kernels
+    # concurrently in worker processes.
     procs = (2, 4) if a.smoke else (2, 4, 8)
     steps = 2 if a.smoke else 3
     yield run_table3_measured(procs=procs, size="small", max_steps=steps,

@@ -7,13 +7,13 @@ implicit-synchronisation waits are *modelled* on the ASCI Red
 parameter sheet from the real partition's work/ghost volumes.
 
 A second, fully **measured** mode (:func:`run_table3_measured`)
-replaces the machine model with telemetry: the same solve pattern is
-replayed on the real SPMD kernels under a
-:class:`repro.telemetry.TraceRecorder`, and the efficiency
-decomposition eta_overall = eta_alg x eta_impl is computed from the
-*recorded* iteration counts and per-rank phase times — so the Table 3
-experiment is validated against the code we actually execute, not
-just against the alpha-beta model.
+replaces the machine model with telemetry: one real NKS solve per
+processor count runs its residuals and Krylov matvecs on the SPMD
+kernels under a :class:`repro.telemetry.TraceRecorder`, and the
+efficiency decomposition eta_overall = eta_alg x eta_impl is computed
+from that solve's *recorded* iteration counts and per-rank phase
+times — so the Table 3 experiment is validated against the code we
+actually execute, not just against the alpha-beta model.
 
 Scaling: the paper runs a 2.8 M-vertex mesh on 128-1024 nodes
 (~2,700-22,000 vertices per node).  We shrink both mesh and node
@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import NKSSolver, SolverConfig
+from repro.core.config import KrylovConfig, PreconditionerConfig
 from repro.euler.problems import FlowProblem
 from repro.experiments.common import (ExperimentResult, default_wing,
                                       measured_linear_iterations)
@@ -37,9 +39,9 @@ from repro.parallel.rankwork import build_rank_work
 from repro.parallel.scatter import build_exchange_plan
 from repro.parallel.simulate import ParallelTimeline, simulate_solve
 from repro.perfmodel.machines import ASCI_RED_PPRO, MachineSpec
+from repro.solvers.ptc import PTCConfig
 from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.report import MeasuredRow, measured_rows
-from repro.telemetry.spmdrun import replay_spmd_solve
 from repro.telemetry.trace import write_trace
 
 __all__ = ["run_table3", "run_table3_measured", "ScalabilityResult",
@@ -157,11 +159,13 @@ class MeasuredScalabilityResult:
                 round(r.eta_overall, 3), round(r.eta_alg, 3),
                 round(r.eta_impl, 3),
                 round(r.phase_pct.get("ghost_exchange", 0.0), 1),
-                round(r.phase_pct.get("allreduce", 0.0), 1),
+                round(r.phase_pct.get("orthogonalization", 0.0), 1),
                 round(r.wait_pct, 1), round(r.mb_per_it, 3), r.messages,
             ])
-        res.notes.append("measured: per-rank phase times recorded by "
-                         "TraceRecorder from the instrumented SPMD replay")
+        res.notes.append("measured: iterations and per-rank phase times "
+                         "recorded by TraceRecorder from one first-order, "
+                         "assembled-Jacobian SPMD solve per row; %red is "
+                         "GMRES orthogonalization")
         return res
 
 
@@ -173,40 +177,47 @@ def run_table3_measured(*, procs=(2, 4, 8, 16), size: str = "small",
                         ) -> MeasuredScalabilityResult:
     """Measured-mode Table 3: telemetry instead of the machine model.
 
-    For each processor count, the linear-iteration counts of a real
-    p-block run supply eta_alg, and an instrumented replay of that
-    solve on the rank-local SPMD kernels supplies the per-rank phase
-    times that eta_impl and the percentage columns are computed from.
+    For each processor count, one real p-block NKS solve runs with a
+    :class:`TraceRecorder` attached: first-order residuals and the
+    assembled-Jacobian Krylov matvecs go through the SPMD kernels, so
+    the same solve supplies the linear iterations (eta_alg) and the
+    per-rank phase times (eta_impl and the percentage columns).  The
+    default wing is first-order; a second-order ``prob`` evaluates its
+    residuals in-process and records no per-rank ``flux`` spans.
     With ``trace_dir`` set, one validated trace JSON per processor
     count is dumped there (``trace_p{p}.json``) for CI diffing.
 
-    ``executor="proc"`` runs the replay's rank kernels concurrently in
+    ``executor="proc"`` runs the rank kernels concurrently in
     ``nworkers`` worker processes over shared memory; the per-rank
     spans in the resulting traces are then *measured inside the
     workers* (real concurrency, real waits) rather than recorded from
-    a rank-by-rank in-process loop.
+    a rank-by-rank in-process loop.  Iteration counts and exchange
+    traffic are identical either way.
     """
     if prob is None:
-        prob = default_wing(size, seed=seed)
+        prob = default_wing(size, second_order=False, seed=seed)
     q0 = prob.initial.flat()
     runs = []
     result = MeasuredScalabilityResult(problem_name=prob.name,
                                        num_vertices=prob.mesh.num_vertices)
     for p in procs:
-        its, labels = measured_linear_iterations(
-            prob, p, fill_level=fill_level, max_steps=max_steps, seed=seed)
+        cfg = SolverConfig(
+            ptc=PTCConfig(cfl0=10.0), max_steps=max_steps,
+            target_reduction=1e-10, jacobian_lag=2, matrix_free=False,
+            krylov=KrylovConfig(rtol=1e-2, max_iterations=40, restart=20),
+            precond=PreconditionerConfig(nparts=p, fill_level=fill_level),
+            seed=seed, executor=executor, nworkers=nworkers)
         rec = TraceRecorder()
-        replay_spmd_solve(prob.disc, labels, its, q0, rec,
-                          fill_level=fill_level, executor=executor,
-                          nworkers=nworkers)
+        report = NKSSolver(prob.disc, cfg, rec).solve(q0)
+        its = report.total_linear_iterations
         result.traces[p] = rec
-        runs.append((p, sum(its), rec))
+        runs.append((p, its, rec))
         if trace_dir is not None:
             from pathlib import Path
             out = Path(trace_dir) / f"trace_p{p}.json"
             write_trace(out, rec, meta={
                 "experiment": "table3_measured", "nprocs": p,
-                "problem": prob.name, "linear_its": sum(its),
+                "problem": prob.name, "linear_its": its,
                 "max_steps": max_steps, "fill_level": fill_level,
                 "executor": executor,
                 "nworkers": nworkers if nworkers is not None else 0})

@@ -40,7 +40,6 @@ from repro.parallel.comm import (
     Communicator,
     SeqCommunicator,
     ProcCommunicator,
-    SocketCommunicator,
     resolve_communicator,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "Communicator",
     "SeqCommunicator",
     "ProcCommunicator",
-    "SocketCommunicator",
     "resolve_communicator",
 ]

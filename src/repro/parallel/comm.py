@@ -13,15 +13,7 @@ is chosen by object, not by ``if``:
   ``distributed_residual``/``distributed_matvec``);
 * :class:`ProcCommunicator` — the shared-memory worker pool; the
   composite collectives are overridden wholesale because the pool runs
-  scatter + exchange + compute as one fused GO/DONE round;
-* :class:`SocketCommunicator` — a length-prefixed TCP transport: one
-  rank server per rank listening on localhost, scatter/exchange/gather
-  payloads really cross sockets (the exchange is server-to-server:
-  each rank connects to its ghost owners' ports and pulls rows).  The
-  servers are backed by threads rather than remote processes — the
-  wire protocol is real, the process boundary is not — so it is the
-  *skeleton* of the distributed deployment: swapping the thread for an
-  out-of-process server changes no protocol bytes.
+  scatter + exchange + compute as one fused GO/DONE round.
 
 Primitive contract (coordinator-centric)
 ----------------------------------------
@@ -40,18 +32,12 @@ shared rank kernels.
 
 from __future__ import annotations
 
-# lint: worker (socket rank servers run in their own service threads)
-
-import socket
-import struct
-import threading
-
 import numpy as np
 
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["Communicator", "SeqCommunicator", "ProcCommunicator",
-           "SocketCommunicator", "resolve_communicator"]
+           "resolve_communicator"]
 
 
 class Communicator:
@@ -219,263 +205,14 @@ class ProcCommunicator(Communicator):
         self.pool.close()
 
 
-# ---------------------------------------------------------------------
-# Socket transport
-# ---------------------------------------------------------------------
-
-_LEN = struct.Struct("<q")
-
-
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(_LEN.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    # lint: loop-ok (socket drain until n bytes; I/O, not a kernel)
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("rank server closed the connection")
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    (n,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    return _recv_exact(sock, n)
-
-
-def _send_array(sock: socket.socket, arr: np.ndarray) -> None:
-    """Ship dtype + shape + raw bytes (C order) as three frames."""
-    a = np.ascontiguousarray(arr)
-    _send_frame(sock, a.dtype.str.encode("ascii"))
-    _send_frame(sock, ",".join(str(d) for d in a.shape).encode("ascii"))
-    _send_frame(sock, a.tobytes())
-
-
-def _recv_array(sock: socket.socket) -> np.ndarray:
-    dtype = np.dtype(_recv_frame(sock).decode("ascii"))
-    shape_raw = _recv_frame(sock).decode("ascii")
-    shape = tuple(int(d) for d in shape_raw.split(",")) if shape_raw \
-        else ()
-    raw = _recv_frame(sock)
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-
-class _RankServer:
-    """One rank's TCP server: stores the rank-local array, serves row
-    requests to peers, pulls its own ghosts from the owners.
-
-    Commands (first frame is the ASCII verb):
-
-    * ``LOAD``  — receive the full local array; reply ``OK``
-    * ``ROWS``  — receive an int64 index array, reply with those rows
-                  of the stored local array
-    * ``EXCH``  — pull ghost rows from every owner's server (the plan
-                  is precomputed per layout) and overwrite the ghost
-                  tail; reply ``OK``
-    * ``GET``   — reply with the full stored local array
-    * ``STOP``  — reply ``OK`` and shut the server down
-
-    The server thread owns ``self.local`` exclusively between commands
-    — the coordinator serialises LOAD/EXCH/GET per rank, and peers only
-    ever issue ROWS (a read) during another rank's EXCH, after every
-    LOAD has completed (the coordinator's scatter is a full barrier).
-    """
-
-    def __init__(self, rank: int, ghost_plan, n_owned: int) -> None:
-        self.rank = rank
-        self.ghost_plan = ghost_plan      # [(owner, ghost_lpos, owner_rows)]
-        self.n_owned = n_owned
-        self.local: np.ndarray | None = None
-        self.peer_ports: dict[int, int] | None = None
-        self.srv = socket.create_server(("127.0.0.1", 0))
-        self.port = self.srv.getsockname()[1]
-        self.thread = threading.Thread(target=self._serve, daemon=True,
-                                       name=f"rank-server-{rank}")
-        self.thread.start()
-
-    # -- server side -----------------------------------------------------
-    def _serve(self) -> None:
-        # lint: loop-ok (connection accept loop of the rank server)
-        while True:
-            try:
-                conn, _ = self.srv.accept()
-            except OSError:
-                return                      # listener closed -> shut down
-            with conn:
-                if not self._serve_conn(conn):
-                    return
-
-    def _serve_conn(self, conn: socket.socket) -> bool:
-        """Serve one connection; False ends the server thread."""
-        # lint: loop-ok (per-connection command loop; I/O, not a kernel)
-        while True:
-            try:
-                verb = _recv_frame(conn).decode("ascii")
-            except ConnectionError:
-                return True                 # client done with this conn
-            if verb == "LOAD":
-                self.local = _recv_array(conn)
-                _send_frame(conn, b"OK")
-            elif verb == "ROWS":
-                rows = _recv_array(conn)
-                _send_array(conn, self.local[rows])
-            elif verb == "EXCH":
-                self._pull_ghosts()
-                _send_frame(conn, b"OK")
-            elif verb == "GET":
-                _send_array(conn, self.local)
-            elif verb == "STOP":
-                _send_frame(conn, b"OK")
-                self.srv.close()
-                return False
-            else:
-                raise ValueError(f"unknown rank-server verb {verb!r}")
-
-    def _pull_ghosts(self) -> None:
-        """The receive side of the VecScatter: connect to each owner's
-        server and pull the owned rows backing this rank's ghosts."""
-        # lint: loop-ok (neighbour-owner loop, O(neighbour ranks))
-        for owner, ghost_lpos, owner_rows in self.ghost_plan:
-            with socket.create_connection(
-                    ("127.0.0.1", self.peer_ports[owner])) as peer:
-                _send_frame(peer, b"ROWS")
-                _send_array(peer, owner_rows)
-                payload = _recv_array(peer)
-            self.local[self.n_owned + ghost_lpos] = payload
-
-    # -- coordinator side -------------------------------------------------
-    def request(self, verb: bytes, arr: np.ndarray | None = None,
-                reply_array: bool = False):
-        with socket.create_connection(("127.0.0.1", self.port)) as conn:
-            _send_frame(conn, verb)
-            if arr is not None:
-                _send_array(conn, arr)
-            if reply_array:
-                return _recv_array(conn)
-            ack = _recv_frame(conn)
-            if ack != b"OK":
-                raise ConnectionError(f"rank server {self.rank}: {ack!r}")
-            return None
-
-
-class SocketCommunicator(Communicator):
-    """TCP loopback transport: one rank server per rank.
-
-    Every scatter/exchange/gather payload crosses a real socket as raw
-    dtype-tagged bytes, so values arrive as exact copies and the
-    composite collectives inherited from :class:`Communicator` stay
-    bitwise-identical to the sequential oracle.  The rank servers run
-    as threads in this process (documented skeleton: the protocol is
-    deployment-shaped, the process boundary is not), each listening on
-    its own ephemeral localhost port; the exchange is genuinely
-    server-to-server — rank ``r`` connects to each ghost owner's port
-    and pulls rows, exactly the receive-direction accounting the
-    sequential :class:`~repro.parallel.spmd.GhostExchange` books.
-    """
-
-    name = "socket"
-
-    def __init__(self, layout) -> None:
-        super().__init__(layout)
-        self._servers: list[_RankServer] = []
-        # lint: loop-ok (per-rank server startup, O(nranks))
-        for rd in layout.ranks:
-            plan = []
-            # lint: loop-ok (neighbour-owner plan, O(neighbour ranks))
-            for owner in np.unique(rd.ghost_owner):
-                sel = rd.ghost_owner == owner
-                gids = rd.ghosts[sel]
-                own = layout.ranks[int(owner)].owned
-                pos = np.searchsorted(own, gids)
-                ok = ((pos < own.size)
-                      & (own[np.minimum(pos, own.size - 1)] == gids)) \
-                    if own.size else np.zeros(gids.shape, dtype=bool)
-                if not ok.all():
-                    self.close()
-                    raise ValueError(
-                        f"stale SPMD layout: rank {rd.rank} expects "
-                        f"ghosts {gids[~ok].tolist()} from rank "
-                        f"{int(owner)}, which does not own them")
-                plan.append((int(owner), np.where(sel)[0], pos))
-            self._servers.append(_RankServer(rd.rank, plan, rd.n_owned))
-        ports = {s.rank: s.port for s in self._servers}
-        # lint: loop-ok (port-table wiring at construction, O(nranks))
-        for s in self._servers:
-            s.peer_ports = ports
-        self._closed = False
-
-    @property
-    def ports(self) -> list[int]:
-        return [s.port for s in self._servers]
-
-    # -- primitives -------------------------------------------------------
-    def scatter(self, vec: np.ndarray, ncomp: int):
-        v = np.asarray(vec).reshape(-1, ncomp)
-        # lint: loop-ok (per-rank LOAD round-trip, O(nranks))
-        for rd, srv in zip(self.layout.ranks, self._servers):
-            local = np.full((rd.n_local, ncomp), np.nan, dtype=v.dtype)
-            local[: rd.n_owned] = v[rd.owned]
-            srv.request(b"LOAD", local)
-        return None     # state lives on the servers
-
-    def exchange(self, state, ex) -> None:
-        # lint: loop-ok (per-rank EXCH command, O(nranks))
-        for srv in self._servers:
-            if srv.ghost_plan:
-                srv.request(b"EXCH")
-        ex.account_refresh(self._itemsize())
-
-    def local(self, state, r: int) -> np.ndarray:
-        return self._servers[r].request(b"GET", reply_array=True)
-
-    def _itemsize(self) -> int:
-        srv = self._servers[0]
-        return int(srv.request(b"GET", reply_array=True).itemsize) \
-            if srv.local is None else int(srv.local.itemsize)
-
-    def dot_partials(self, xglobal, yglobal, ncomp) -> list[float]:
-        # Partials are computed on each rank's stored owned rows: ship
-        # x, keep y coordinator-side per rank (skeleton's half-remote
-        # dot), then sum over the wire-returned owned rows.
-        x = np.asarray(xglobal).reshape(-1, ncomp)
-        y = np.asarray(yglobal).reshape(-1, ncomp)
-        self.scatter(xglobal, ncomp)
-        out = []
-        # lint: loop-ok (per-rank partial, O(nranks))
-        for rd, srv in zip(self.layout.ranks, self._servers):
-            owned = srv.request(
-                b"ROWS", np.arange(rd.n_owned, dtype=np.int64),
-                reply_array=True)
-            out.append(float(np.sum(owned * y[rd.owned])))
-        del x
-        return out
-
-    def close(self) -> None:
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        # lint: loop-ok (per-rank server shutdown, O(nranks))
-        for srv in self._servers:
-            try:
-                srv.request(b"STOP")
-            except OSError:
-                srv.srv.close()
-            srv.thread.join(timeout=5.0)
-
-
-def resolve_communicator(layout, executor, *, attach: bool = False):
+def resolve_communicator(layout, executor):
     """Map the ``executor`` knob to a :class:`Communicator`.
 
     ``None``/"seq" build a :class:`SeqCommunicator`; "proc" wraps the
     pool attached to the layout (raising with the historical message
     when none is); a :class:`~repro.parallel.procpool.ProcPool`
     instance is wrapped directly; a :class:`Communicator` instance is
-    returned as-is; "socket" requires an attached communicator
-    (``layout.comm``) because the rank servers hold open sockets whose
-    lifetime the caller must own.
+    returned as-is.
     """
     if isinstance(executor, Communicator):
         return executor
@@ -489,14 +226,6 @@ def resolve_communicator(layout, executor, *, attach: bool = False):
                 "repro.parallel.ProcPool(layout, disc) (it attaches "
                 "itself to layout.pool) or pass the pool as executor=")
         return ProcCommunicator(layout, pool)
-    if executor == "socket":
-        comm = getattr(layout, "comm", None)
-        if isinstance(comm, SocketCommunicator):
-            return comm
-        raise ValueError(
-            "executor='socket' needs live rank servers: create "
-            "repro.parallel.comm.SocketCommunicator(layout) and pass "
-            "it as executor= (or attach it as layout.comm)")
     raise ValueError(f"unknown executor {executor!r} "
-                     f"(expected 'seq', 'proc', 'socket', or a "
+                     f"(expected 'seq', 'proc', or a "
                      f"ProcPool/Communicator)")

@@ -91,9 +91,7 @@ class SPMDLayout:
 
     ``pool`` is the attach point for a process-parallel executor
     (:class:`repro.parallel.procpool.ProcPool`); the distributed
-    kernels resolve ``executor="proc"`` through it.  ``comm`` is the
-    attach point for a live :class:`repro.parallel.comm.Communicator`
-    (``executor="socket"`` resolves through it).  ``executor`` reports
+    kernels resolve ``executor="proc"`` through it.  ``executor`` reports
     which backend a bare kernel call would use.  ``gather_cache``
     holds the per-rank SpMV gather structures keyed by matrix pattern
     (see :func:`gather_structs`); it is layout-owned so warm services
@@ -103,7 +101,6 @@ class SPMDLayout:
     labels: np.ndarray
     ranks: list[RankLocalData] = field(default_factory=list)
     pool: object | None = field(default=None, repr=False, compare=False)
-    comm: object | None = field(default=None, repr=False, compare=False)
     gather_cache: dict = field(default_factory=dict, repr=False,
                                compare=False)
 
@@ -159,9 +156,9 @@ class GhostExchange:
 
     def __init__(self, layout: SPMDLayout, ncomp: int, *,
                  recorder=NULL_RECORDER, executor: str = "seq") -> None:
-        if executor not in ("seq", "proc", "socket"):
+        if executor not in ("seq", "proc"):
             raise ValueError(f"unknown executor {executor!r} "
-                             f"(expected 'seq', 'proc', or 'socket')")
+                             f"(expected 'seq' or 'proc')")
         self.layout = layout
         self.ncomp = ncomp
         self.executor = executor
@@ -200,9 +197,8 @@ class GhostExchange:
             raise RuntimeError(
                 f"refresh() is the in-process exchange; with "
                 f"executor={self.executor!r} the ghosts are refreshed "
-                f"inside the transport (worker-pool barrier protocol or "
-                f"rank-server pulls) and account_refresh books the "
-                f"traffic")
+                f"inside the worker-pool barrier protocol and "
+                f"account_refresh books the traffic")
         layout = self.layout
         rec = self.recorder
         per_rank_s = [0.0] * layout.nranks
@@ -512,10 +508,10 @@ def distributed_residual(disc: EdgeFVDiscretization, layout: SPMDLayout,
     :func:`repro.parallel.comm.resolve_communicator`: ``"seq"`` replays
     the ranks in-process, ``"proc"`` (or a
     :class:`~repro.parallel.procpool.ProcPool` instance) runs the rank
-    kernels in the worker pool over shared memory, ``"socket"`` (or any
-    :class:`~repro.parallel.comm.Communicator` instance) moves the
-    payloads over that transport — all bitwise-identical, because every
-    transport runs the same rank kernels on exact copies.  ``threads``
+    kernels in the worker pool over shared memory, and any
+    :class:`~repro.parallel.comm.Communicator` instance is used as-is
+    — all bitwise-identical, because every transport runs the same
+    rank kernels on exact copies.  ``threads``
     is the intra-rank team size, honoured identically by all
     executors (the pool forwards it through the shm header), so
     ``seq(threads=t)`` equals ``proc(threads=t)`` bitwise for any t.

@@ -13,10 +13,8 @@ iteration counts and measured phase times):
 * :mod:`repro.telemetry.trace` — the JSON trace document (schema
   validation, atomic writes, CI-diffable like ``BENCH_kernels.json``);
 * :mod:`repro.telemetry.report` — the measured efficiency
-  decomposition and its Table-3-style formatting;
-* :mod:`repro.telemetry.spmdrun` — the instrumented SPMD replay that
-  turns one solve's phase pattern into a recorded trace (imported
-  lazily: it pulls in the solver stack).
+  decomposition (measured Table 3 records one real solve per
+  processor count, :func:`repro.experiments.run_table3_measured`).
 
 Instrumentation hooks live at the call sites —
 :class:`repro.core.driver.NKSSolver`, the Krylov solvers, the Schwarz
@@ -26,8 +24,7 @@ preconditioner, and the SPMD kernels all take ``recorder=``.
 from repro.telemetry.recorder import (KNOWN_PHASES, NULL_RECORDER,
                                       NullRecorder, TraceRecorder)
 from repro.telemetry.report import (SPMD_PHASES, MeasuredRow,
-                                    format_measured_table, measured_rows,
-                                    measured_wall)
+                                    measured_rows, measured_wall)
 from repro.telemetry.trace import (TRACE_SCHEMA_VERSION, load_trace,
                                    validate_trace, write_trace)
 
@@ -44,15 +41,4 @@ __all__ = [
     "MeasuredRow",
     "measured_rows",
     "measured_wall",
-    "format_measured_table",
-    "replay_spmd_solve",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: spmdrun imports the euler/precond/parallel stack, which
-    # itself imports this package for NULL_RECORDER.
-    if name == "replay_spmd_solve":
-        from repro.telemetry.spmdrun import replay_spmd_solve
-        return replay_spmd_solve
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -55,7 +55,7 @@ class _Span:
 
     After ``__exit__`` the measured interval is on :attr:`elapsed`
     (seconds), so call sites can both record and locally inspect the
-    same measurement (the SPMD replay uses this for wait accounting).
+    same measurement (the SPMD rank loops use this for wait accounting).
     """
 
     __slots__ = ("_rec", "phase", "rank", "_timer", "elapsed", "_child_s")

@@ -18,7 +18,9 @@ instrumented run actually recorded:
 The per-phase percentages (scatter, reductions, implicit-sync wait)
 come straight from the same trace, giving a measured analogue of the
 modelled Table 3 columns that :func:`repro.experiments.table3.run_table3`
-produces.
+produces.  A real GMRES solve does its reductions on the coordinator
+inside ``orthogonalization``; SPMD ``distributed_dot`` calls book
+``allreduce``.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from dataclasses import dataclass, field
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = ["SPMD_PHASES", "MeasuredRow", "measured_wall", "measured_rows",
-           "format_measured_table", "phase_decomposition"]
+           "phase_decomposition"]
 
-#: The non-overlapping phases of the instrumented SPMD replay; their
-#: walls sum to the run's wall time.  (``krylov`` is an envelope span
-#: and ``orthogonalization`` nests inside it, so neither belongs here.)
+#: The non-overlapping phases of an instrumented solve; their walls sum
+#: to the run's wall time.  ``krylov`` is an envelope span around
+#: ``matvec``, ``trisolve`` and ``orthogonalization`` (GMRES's
+#: coordinator-side reductions), so it does not belong here.
 SPMD_PHASES = ("flux", "jacobian", "precond_setup", "trisolve", "matvec",
-               "ghost_exchange", "allreduce")
+               "ghost_exchange", "allreduce", "orthogonalization")
 
 
 @dataclass
@@ -114,23 +117,3 @@ def measured_rows(runs: list[tuple[int, int, TraceRecorder]],
             messages=int(rec.counter("messages")),
         ))
     return out
-
-
-def format_measured_table(rows: list[MeasuredRow],
-                          title: str | None = None) -> str:
-    """Table-3-style text table of measured rows (via core.reporting)."""
-    from repro.core.reporting import format_table
-
-    headers = ["Procs", "Its", "Time(s)", "Speedup", "eta_ovl", "eta_alg",
-               "eta_impl", "%scat", "%red", "%wait", "MB/it", "msgs"]
-    body = []
-    for r in rows:
-        body.append([
-            r.nprocs, r.its, round(r.time, 4), round(r.speedup, 2),
-            round(r.eta_overall, 3), round(r.eta_alg, 3),
-            round(r.eta_impl, 3),
-            round(r.phase_pct.get("ghost_exchange", 0.0), 1),
-            round(r.phase_pct.get("allreduce", 0.0), 1),
-            round(r.wait_pct, 1), round(r.mb_per_it, 3), r.messages,
-        ])
-    return format_table(headers, body, title=title)

@@ -2,22 +2,20 @@
 must match it bitwise.
 
 The seq transport is the historical in-process rank replay; the proc
-transport is covered exhaustively by test_parallel_procpool; here the
-focus is (a) the resolve rules, (b) the socket transport's
-reduce/scatter unit suite (payloads really cross TCP sockets), and
-(c) end-to-end socket collectives equal to the seq oracle.
+transport (and its seq == proc bitwise oracles) is covered
+exhaustively by test_parallel_procpool; here the focus is (a) the
+resolve rules, (b) the exchange guard off the in-process transport,
+and (c) the layout-level gather cache and the abstract primitives.
 """
 
 import numpy as np
 import pytest
 
 from repro.euler import wing_problem
-from repro.parallel import (GhostExchange, SPMDLayout, distributed_dot,
-                            distributed_matvec, distributed_residual)
+from repro.parallel import GhostExchange, SPMDLayout, distributed_matvec
 from repro.parallel.comm import (Communicator, ProcCommunicator,
-                                 SeqCommunicator, SocketCommunicator,
-                                 resolve_communicator)
-from repro.parallel.spmd import gather_structs, tree_reduce_sum
+                                 SeqCommunicator, resolve_communicator)
+from repro.parallel.spmd import gather_structs
 from repro.partition import kway_partition
 
 
@@ -30,14 +28,6 @@ def setup():
     q = prob.initial.flat() + 0.05 * rng.standard_normal(
         prob.disc.num_unknowns)
     return prob, labels, layout, q
-
-
-@pytest.fixture(scope="module")
-def socket_comm(setup):
-    _, _, layout, _ = setup
-    comm = SocketCommunicator(layout)
-    yield comm
-    comm.close()
 
 
 class TestResolve:
@@ -54,11 +44,6 @@ class TestResolve:
         with pytest.raises(ValueError, match="worker pool"):
             resolve_communicator(layout, "proc")
 
-    def test_socket_requires_live_servers(self, setup):
-        _, _, layout, _ = setup
-        with pytest.raises(ValueError, match="rank servers"):
-            resolve_communicator(layout, "socket")
-
     def test_unknown_executor_rejected(self, setup):
         _, _, layout, _ = setup
         with pytest.raises(ValueError, match="unknown executor"):
@@ -68,16 +53,6 @@ class TestResolve:
         _, _, layout, _ = setup
         comm = SeqCommunicator(layout)
         assert resolve_communicator(layout, comm) is comm
-
-    def test_attached_socket_comm_resolves(self, setup):
-        _, _, layout, _ = setup
-        comm = SocketCommunicator(layout)
-        try:
-            layout.comm = comm
-            assert resolve_communicator(layout, "socket") is comm
-        finally:
-            layout.comm = None
-            comm.close()
 
     def test_pool_instance_wrapped(self, setup):
         prob, _, layout, _ = setup
@@ -92,114 +67,12 @@ class TestResolve:
             layout.pool = None
 
 
-class TestSocketUnitSuite:
-    """The reduce/scatter unit contract of the acceptance criteria:
-    every primitive round-trips values bitwise over real TCP."""
-
-    def test_servers_listen_on_distinct_ports(self, socket_comm):
-        ports = socket_comm.ports
-        assert len(ports) == len(set(ports))
-        assert all(p > 0 for p in ports)
-
-    def test_scatter_roundtrip_bitwise(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        state = socket_comm.scatter(q, ncomp)
-        qg = np.asarray(q).reshape(-1, ncomp)
-        for rd in layout.ranks:
-            local = socket_comm.local(state, rd.rank)
-            assert local.shape == (rd.n_local, ncomp)
-            assert np.array_equal(local[: rd.n_owned], qg[rd.owned])
-            # ghosts are poison until an exchange
-            if rd.ghosts.size:
-                assert np.isnan(local[rd.n_owned:]).all()
-
-    def test_scatter_preserves_dtype(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        q32 = np.asarray(q, dtype=np.float32)
-        state = socket_comm.scatter(q32, ncomp)
-        assert socket_comm.local(state, 0).dtype == np.float32
-
-    def test_exchange_fills_ghosts_from_owners(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        ex = GhostExchange(layout, ncomp, executor="socket")
-        state = socket_comm.scatter(q, ncomp)
-        socket_comm.exchange(state, ex)
-        qg = np.asarray(q).reshape(-1, ncomp)
-        for rd in layout.ranks:
-            local = socket_comm.local(state, rd.rank)
-            assert np.array_equal(local[rd.n_owned:], qg[rd.ghosts])
-
-    def test_exchange_accounting_matches_seq(self, setup, socket_comm):
-        """Receive-direction bookkeeping equals the in-process
-        exchange on the same layout."""
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        ex_sock = GhostExchange(layout, ncomp, executor="socket")
-        socket_comm.scatter(q, ncomp)
-        socket_comm.exchange(None, ex_sock)
-        ex_seq = GhostExchange(layout, ncomp)
-        seq = SeqCommunicator(layout)
-        state = seq.scatter(q, ncomp)
-        seq.exchange(state, ex_seq)
-        assert ex_sock.messages == ex_seq.messages
-        assert ex_sock.bytes_moved == ex_seq.bytes_moved
-
-    def test_reduce_is_the_shared_tree(self, setup, socket_comm):
-        partials = [0.1, -2.5, 3.75, 1e-9, 42.0]
-        assert socket_comm.reduce(partials) == tree_reduce_sum(partials)
-
-    def test_dot_partials_bitwise(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        seq = SeqCommunicator(layout)
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal(q.size)
-        assert socket_comm.dot_partials(q, y, ncomp) \
-            == seq.dot_partials(q, y, ncomp)
-
+class TestExchangeGuard:
     def test_refresh_refused_off_seq(self, setup):
         _, _, layout, _ = setup
-        ex = GhostExchange(layout, 4, executor="socket")
+        ex = GhostExchange(layout, 4, executor="proc")
         with pytest.raises(RuntimeError, match="in-process exchange"):
             ex.refresh([])
-
-
-class TestSocketCollectives:
-    """End-to-end collectives over the socket transport equal the seq
-    oracle bitwise (same rank kernels, exact copies on the wire)."""
-
-    def test_residual_bitwise(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        r_seq = distributed_residual(prob.disc, layout, q)
-        r_sock = distributed_residual(prob.disc, layout, q,
-                                      executor=socket_comm)
-        assert np.array_equal(r_seq, r_sock)
-
-    def test_matvec_bitwise(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        jac = prob.disc.shifted_jacobian(q, 10.0)
-        y_seq = distributed_matvec(jac, layout, q)
-        y_sock = distributed_matvec(jac, layout, q, executor=socket_comm)
-        assert np.array_equal(y_seq, y_sock)
-
-    def test_dot_bitwise(self, setup, socket_comm):
-        prob, _, layout, q = setup
-        ncomp = prob.disc.ncomp
-        rng = np.random.default_rng(5)
-        y = rng.standard_normal(q.size)
-        d_seq = distributed_dot(layout, q, y, ncomp)
-        d_sock = distributed_dot(layout, q, y, ncomp,
-                                 executor=socket_comm)
-        assert d_seq == d_sock
-
-    def test_close_idempotent(self, setup):
-        _, _, layout, _ = setup
-        comm = SocketCommunicator(layout)
-        comm.close()
-        comm.close()
 
 
 class TestGatherCache:

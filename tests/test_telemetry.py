@@ -402,7 +402,7 @@ class TestMeasuredTable3:
             assert abs(row.eta_overall - row.eta_alg * row.eta_impl) < 1e-12
         ref = result.rows[0]
         assert ref.eta_overall == 1.0 and ref.speedup == 1.0
-        # The replayed iteration counts feed eta_alg directly.
+        # The solve's recorded iteration counts feed eta_alg directly.
         assert result.rows[1].eta_alg == pytest.approx(
             ref.its / result.rows[1].its)
         for p in (2, 4):
@@ -413,6 +413,33 @@ class TestMeasuredTable3:
         # to_table() renders without error and carries every row.
         table = result.to_table()
         assert len(table.rows) == 2
+
+    def test_its_come_from_the_traced_solve(self):
+        # eta_alg and eta_impl come from one solve: every row's
+        # iteration count is the GMRES counter of the trace it reports.
+        from repro.experiments import run_table3_measured
+
+        result = run_table3_measured(procs=(2, 4), size="small",
+                                     max_steps=2)
+        for row in result.rows:
+            rec = result.traces[row.nprocs]
+            assert row.its > 0
+            assert row.its == rec.counter("linear_iterations")
+            assert row.phase_pct["orthogonalization"] > 0
+            for ph in ("flux", "matvec", "ghost_exchange", "trisolve"):
+                assert len(rec.to_dict()["phases"][ph]) == row.nprocs
+
+    def test_proc_matches_seq_counts(self):
+        from repro.experiments import run_table3_measured
+
+        kw = dict(procs=(2, 4), size="small", max_steps=2)
+        seq = run_table3_measured(**kw)
+        proc = run_table3_measured(executor="proc", nworkers=2, **kw)
+        for a, b in zip(seq.rows, proc.rows):
+            assert a.nprocs == b.nprocs
+            assert (a.its, a.messages) == (b.its, b.messages)
+            assert seq.traces[a.nprocs].counter("bytes") \
+                == proc.traces[b.nprocs].counter("bytes") > 0
 
     def test_measured_wall_sums_phase_walls(self):
         rec = TraceRecorder()
